@@ -8,11 +8,7 @@
 #                   >25% regression over its committed counter baseline
 #                   (BENCH_timing.json / BENCH_batch.json) or a 2x
 #                   wall-clock blowout over the historical best
-#   make perf-parallel  the parallel-execution bench: records speedup at
-#                   jobs 1/2/4 into BENCH_parallel.json, asserts
-#                   bit-identity across job counts, and enforces the
-#                   >=2x speedup gate on hosts with >=4 CPUs
-#   make perf-kernel    the vectorized-kernel bench: numpy vs python
+#   make perf-kernel    the tree-template kernel bench: numpy vs python
 #                   kernels on rca32 into BENCH_kernel.json, rca8
 #                   arrival differential at 1e-9, and the >=3x speedup
 #                   gate over the pre-kernel BENCH_timing.json baseline
@@ -31,13 +27,14 @@
 #   make verify-smoke   the conformance smoke gate: 20 fuzzed netlists x
 #                   the full engine-mode matrix at fixed seed 0 (plus
 #                   metamorphic invariants), must exit clean in <60s
-#   make trace-smoke    the observability smoke gate: a jobs=2 traced
-#                   sweep must emit a valid Chrome trace with nested
-#                   spans from >=2 worker processes
+#   make trace-smoke    the observability smoke gate: a traced sweep
+#                   must emit a valid Chrome trace with nested
+#                   analyze > stage_eval > kernel_batch spans
 #   make service-smoke  the serving smoke gate: a real daemon process,
 #                   4 concurrent clients, bit-identical arrivals, live
-#                   /metrics, a valid --trace, and a clean SIGTERM
-#                   drain, all under a hard watchdog
+#                   /metrics, a valid --trace (kept in
+#                   benchmarks/output/service_smoke_trace.json), and a
+#                   clean SIGTERM drain, all under a hard watchdog
 #   make verify-deep    the deep conformance sweep: 200 cases per seed
 #                   over seeds 0-2; run before releases / after engine
 #                   changes, not in CI
@@ -51,11 +48,10 @@ PYTHONPATH := src
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
 BENCH_FILES := benchmarks/BENCH_timing.json benchmarks/BENCH_batch.json \
-               benchmarks/BENCH_parallel.json benchmarks/BENCH_kernel.json \
-               benchmarks/BENCH_delta.json benchmarks/BENCH_trace.json \
-               benchmarks/BENCH_service.json
+               benchmarks/BENCH_kernel.json benchmarks/BENCH_delta.json \
+               benchmarks/BENCH_trace.json benchmarks/BENCH_service.json
 
-.PHONY: test test-slow perf perf-parallel perf-kernel perf-delta \
+.PHONY: test test-slow perf perf-kernel perf-delta \
         perf-trace perf-service verify-smoke verify-deep trace-smoke \
         service-smoke check check-fast bench bench-all goldens
 
@@ -69,9 +65,6 @@ perf:
 	$(PYTEST) benchmarks/bench_perf_regression.py \
 	          benchmarks/bench_batch_sweep.py \
 	          benchmarks/bench_delta_sweep.py -q -s
-
-perf-parallel:
-	$(PYTEST) benchmarks/bench_parallel.py -q -s
 
 perf-kernel:
 	$(PYTEST) benchmarks/bench_kernel.py -q -s
@@ -99,13 +92,15 @@ trace-smoke:
 	PYTHONPATH=$(PYTHONPATH) python -m repro.trace.smoke
 
 service-smoke:
-	PYTHONPATH=$(PYTHONPATH) python -m repro.service.smoke --watchdog 300
+	mkdir -p benchmarks/output
+	PYTHONPATH=$(PYTHONPATH) python -m repro.service.smoke --watchdog 300 \
+	          --keep-trace benchmarks/output/service_smoke_trace.json
 
-check: test test-slow perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+check: test test-slow perf perf-kernel verify-smoke trace-smoke service-smoke
 
 # CI's gate: everything in `check` except the slow tier (analog golden
 # references are too heavy for shared runners).
-check-fast: test perf perf-parallel perf-kernel verify-smoke trace-smoke service-smoke
+check-fast: test perf perf-kernel verify-smoke trace-smoke service-smoke
 
 # Refresh every perf baseline and commit the result.  REPRO_BENCH_NO_FAIL
 # disables the wall-clock guards (new hardware re-records cleanly); the
@@ -114,7 +109,6 @@ bench-all:
 	REPRO_BENCH_NO_FAIL=1 $(PYTEST) \
 	          benchmarks/bench_perf_regression.py \
 	          benchmarks/bench_batch_sweep.py \
-	          benchmarks/bench_parallel.py \
 	          benchmarks/bench_kernel.py \
 	          benchmarks/bench_delta_sweep.py \
 	          benchmarks/bench_trace_overhead.py \

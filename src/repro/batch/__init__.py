@@ -25,7 +25,7 @@ from .vectors import (
     vector_delta,
 )
 from .sweep import (OrderStats, ScenarioOutcome, SweepResult, run_scenarios,
-                    run_sweep)
+                    run_sweep, validate_vectors)
 from .report import format_sweep_profile, format_sweep_summary
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "OrderStats",
     "ScenarioOutcome",
     "SweepResult",
+    "validate_vectors",
     "run_scenarios",
     "run_sweep",
     "format_sweep_profile",

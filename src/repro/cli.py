@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import pathlib
 import sys
 from typing import Dict, List, Optional
@@ -46,6 +45,7 @@ from .batch import (
     load_vector_file,
     parse_timing_token,
     run_sweep,
+    validate_vectors,
 )
 from .batch.vectors import with_default_slope
 from .core.models import (
@@ -62,9 +62,11 @@ from .core.timing import (
     format_critical_path,
     format_hazard_report,
     format_worst_paths,
+    normalize_inputs,
 )
 from .errors import ReproError
 from .netlist import Network, sim_format, spice_format, validate_network
+from .perf import PerfCounters
 from .switchlevel import Logic, SwitchSimulator
 from .tech import CMOS3, NMOS4, Technology, Transition
 from .units import parse_value
@@ -87,6 +89,18 @@ def _tech(name: str, characterized: bool) -> Technology:
             f"{', '.join(sorted(TECHNOLOGIES))}"
         ) from None
     return characterize_technology(base) if characterized else base
+
+
+def _characterize_late(args: argparse.Namespace, network: Network) -> None:
+    """Swap the fitted tables into *network* unless ``--no-characterize``.
+
+    ``timing`` and ``sweep`` load the netlist against the base technology
+    and check every input name first: characterization takes seconds, a
+    typo should not.  The fit only replaces resistances and slope tables,
+    so the geometry the loader read from the base technology stays valid.
+    """
+    if not args.no_characterize:
+        network.tech = characterize_technology(network.tech)
 
 
 def _load(path: str, tech: Technology) -> Network:
@@ -149,11 +163,6 @@ def cmd_switch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ReproError(f"--jobs must be at least 1, got {jobs}")
-
-
 @contextlib.contextmanager
 def _traced_run(args: argparse.Namespace):
     """Install a run tracer when ``--trace``/``--trace-summary`` ask for
@@ -172,8 +181,7 @@ def _traced_run(args: argparse.Namespace):
     finally:
         trace_spans.uninstall()
         if args.trace:
-            count = write_chrome_trace(tracer, args.trace,
-                                       parent_pid=os.getpid())
+            count = write_chrome_trace(tracer, args.trace)
             print(f"trace: {count} event(s) written to {args.trace}")
         if args.trace_summary:
             print(format_trace_summary(tracer.records))
@@ -181,34 +189,31 @@ def _traced_run(args: argparse.Namespace):
 
 
 def cmd_timing(args: argparse.Namespace) -> int:
-    tech = _tech(args.tech, characterized=not args.no_characterize)
-    network = _load(args.netlist, tech)
+    network = _load(args.netlist, _tech(args.tech, characterized=False))
     model = MODELS[args.model]()
     slope = parse_value(args.slope) if args.slope else 0.0
     inputs = {}
     for token in args.input or []:
         name, spec = _parse_timing_input(token)
         inputs[name] = with_default_slope(spec, slope)
-    analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum,
-                              kernel=args.kernel)
-    _check_jobs(args.jobs)
+    analyzer = None
     result = None
     try:
         with _traced_run(args):
-            if args.jobs > 1:
-                from .parallel import parallel_analyze
-                result = parallel_analyze(network, inputs, jobs=args.jobs,
-                                          analyzer=analyzer)
-            else:
-                result = analyzer.analyze(inputs)
+            normalize_inputs(network, inputs)
+            _characterize_late(args, network)
+            analyzer = TimingAnalyzer(network, model=model,
+                                      slope_quantum=args.slope_quantum,
+                                      kernel=args.kernel)
+            result = analyzer.analyze(inputs)
     finally:
-        # An aborted analysis (timing loop, worker error) still merged
-        # its run counters into the analyzer's cumulative set — flush
-        # them so --profile shows how far the run got.
+        # An aborted analysis (timing loop) still merged its run counters
+        # into the analyzer's cumulative set — flush them so --profile
+        # shows how far the run got (nothing, if the inputs were bad).
         if args.profile and result is None:
-            print(analyzer.perf.format_table("analysis perf counters "
-                                             "(partial: run aborted)"))
+            perf = analyzer.perf if analyzer is not None else PerfCounters()
+            print(perf.format_table("analysis perf counters "
+                                    "(partial: run aborted)"))
             print()
 
     if args.profile and result.perf is not None:
@@ -273,27 +278,29 @@ def _sweep_source(args: argparse.Namespace, network: Network, slope: float):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    tech = _tech(args.tech, characterized=not args.no_characterize)
-    network = _load(args.netlist, tech)
+    network = _load(args.netlist, _tech(args.tech, characterized=False))
     model = MODELS[args.model]()
     slope = parse_value(args.slope) if args.slope else 0.0
-    _check_jobs(args.jobs)
     source = _sweep_source(args, network, slope)
-    analyzer = TimingAnalyzer(network, model=model,
-                              slope_quantum=args.slope_quantum,
-                              kernel=args.kernel)
+    analyzer = None
     sweep = None
     try:
         with _traced_run(args):
+            validate_vectors(network, list(source))
+            _characterize_late(args, network)
+            analyzer = TimingAnalyzer(network, model=model,
+                                      slope_quantum=args.slope_quantum,
+                                      kernel=args.kernel)
             sweep = run_sweep(network, source, watch=args.watch,
-                              analyzer=analyzer, jobs=args.jobs,
-                              delta=args.delta, order=args.order)
+                              analyzer=analyzer, delta=args.delta,
+                              order=args.order)
     finally:
         # Scenarios analyzed before an abort already merged their run
         # counters into the analyzer's cumulative set — flush them.
         if args.profile and sweep is None:
-            print(analyzer.perf.format_table("sweep perf counters "
-                                             "(partial: run aborted)"))
+            perf = analyzer.perf if analyzer is not None else PerfCounters()
+            print(perf.format_table("sweep perf counters "
+                                    "(partial: run aborted)"))
             print()
     if args.profile:
         print(format_sweep_profile(sweep))
@@ -432,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", metavar="FILE",
                        help="write a Chrome trace_event JSON of the run "
                             "(open in chrome://tracing or "
-                            "ui.perfetto.dev); worker spans included")
+                            "ui.perfetto.dev)")
         p.add_argument("--trace-summary", action="store_true",
                        help="print the flat per-span time table "
                             "(count, total, self) after the run")
@@ -469,12 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for level-front stage sharding "
-                        "(default 1 = serial; results are identical)")
     p.add_argument("--kernel", default="numpy",
                    choices=("numpy", "python"),
-                   help="RC-tree delay kernel: vectorized tree templates "
+                   help="RC-tree delay kernel: compiled tree templates "
                         "(numpy, default) or the scalar dict-tree "
                         "reference (python); results agree to 1e-9")
     add_tracing(p)
@@ -516,12 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="relative slope quantization for the delay-model "
                         "memo cache (e.g. 0.05; default 0 = exact)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for scenario sharding (default "
-                        "1 = serial; reports are byte-identical)")
     p.add_argument("--kernel", default="numpy",
                    choices=("numpy", "python"),
-                   help="RC-tree delay kernel: vectorized tree templates "
+                   help="RC-tree delay kernel: compiled tree templates "
                         "(numpy, default) or the scalar dict-tree "
                         "reference (python); results agree to 1e-9")
     p.add_argument("--delta", action=argparse.BooleanOptionalAction,

@@ -44,13 +44,13 @@ class StageRequest:
         (dis)charge.  Side branches reachable through conducting devices
         are included — their capacitance loads the path.  ``None`` when
         the request carries a compiled ``template`` instead (the
-        vectorized-kernel path builds no dict trees at all).
+        template-kernel path builds no dict trees at all).
     template:
         Optional compiled :class:`~repro.rctree.TreeTemplate` of the same
         structure.  When present, the accessor methods below
         (:meth:`stage_constants`, :meth:`path_resistance`,
         :meth:`total_capacitance`) answer from the template's memoized
-        vectorized-kernel results; models written against those
+        template-kernel results; models written against those
         accessors are kernel-agnostic.
     target:
         The output node whose crossing is asked about.
@@ -91,7 +91,7 @@ class StageRequest:
     # -- kernel-agnostic accessors --------------------------------------
     #
     # Models that only need the classic RC quantities should go through
-    # these: with a template they are memoized vectorized-kernel lookups,
+    # these: with a template they are memoized template-kernel lookups,
     # with a dict tree they fall back to the scalar reference.
 
     def stage_tree(self) -> RCTree:
@@ -165,7 +165,7 @@ class DelayModel:
         The analyzer's candidate loop hands every memo miss of a stage
         visit over in one call, so a model can amortize shared work
         across the batch; template-carrying requests already share the
-        per-stage vectorized-kernel results, so the default sequential
+        per-stage template-kernel results, so the default sequential
         loop is the right implementation for all built-in models.
         """
         return [self.evaluate(request) for request in requests]

@@ -46,8 +46,9 @@ from ...tech import (
 from ...tech import cmos3 as _cmos
 from ...tech import nmos4 as _nmos
 
-#: Characterization results are deterministic per technology; cache them.
-_CACHE: Dict[Tuple[str, Tuple[float, ...]], Technology] = {}
+#: Characterization results are deterministic per technology content;
+#: cache them (keyed by :func:`_content_key`).
+_CACHE: Dict[Tuple, Technology] = {}
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ class _pass_fixture:
     """Pass-gate fixture builder for *kind*.
 
     A class (not a closure) so characterization results — and with them
-    characterized :class:`Technology` objects — stay picklable; the
-    parallel subsystem ships them to worker processes.
+    characterized :class:`Technology` objects — stay picklable.
     """
 
     def __init__(self, kind: DeviceKind):
@@ -246,13 +246,31 @@ def characterize_fixture(tech: Technology, fixture: Fixture,
         total_cap=total_cap, points=points)
 
 
+def _content_key(tech: Technology, grid: Tuple[float, ...]) -> Tuple:
+    """Everything the fitted copy depends on: every field of *tech* it
+    reads or carries over (device parameters, supply, geometry defaults,
+    the inherited static resistances, the name its tables are labelled
+    with) plus the ratio grid.  Only the slope tables, which the fit
+    replaces, are left out — so two technologies that share a name but
+    not their parameters never share a fit."""
+    parts = []
+    for spec in dataclasses.fields(tech):
+        if spec.name == "slope_tables":
+            continue
+        value = getattr(tech, spec.name)
+        if isinstance(value, dict):
+            value = tuple(sorted(value.items(), key=repr))
+        parts.append(value)
+    return tuple(parts) + (grid,)
+
+
 def characterize_technology(tech: Technology,
                             ratios: Optional[List[float]] = None,
                             use_cache: bool = True) -> Technology:
     """Return a copy of *tech* with fitted static resistances and slope
-    tables.  Results are cached per (technology name, ratio grid)."""
+    tables.  Results are cached by content (:func:`_content_key`)."""
     grid = tuple(ratios or logarithmic_ratio_grid())
-    key = (tech.name, grid)
+    key = _content_key(tech, grid)
     if use_cache and key in _CACHE:
         return _CACHE[key]
 

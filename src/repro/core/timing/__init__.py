@@ -17,6 +17,7 @@ from .analyzer import (
     TimingAnalyzer,
     TimingResult,
     analyze,
+    normalize_inputs,
 )
 from .report import (
     arrival_table,
@@ -66,6 +67,7 @@ __all__ = [
     "TimingAnalyzer",
     "TimingResult",
     "analyze",
+    "normalize_inputs",
     "arrival_table",
     "format_critical_path",
     "format_worst_paths",

@@ -55,8 +55,8 @@ from typing import (
 from ...errors import TimingError
 from ...netlist import Network
 from ...netlist.stages import Stage
-from ...perf import PerfCounters, StageCostModel
-from ...rctree import RCTree, TreeTemplate, kernel_available
+from ...perf import PerfCounters
+from ...rctree import RCTree, TreeTemplate
 from ...switchlevel import Logic
 from ...tech import Transition
 from ...trace.spans import (
@@ -118,7 +118,7 @@ class Event:
 
     def __getstate__(self):
         # String hashes are salted per process: drop the cached hash so
-        # an Event unpickled in a worker recomputes it locally.
+        # an Event unpickled in another process recomputes it locally.
         return (self.node, self.transition)
 
     def __setstate__(self, state) -> None:
@@ -246,6 +246,30 @@ class _IndexEntry:
         self.trigger = trigger
 
 
+def normalize_inputs(network: Network,
+                     inputs: Mapping[str, Union[InputSpec, float]]
+                     ) -> Dict[str, InputSpec]:
+    """Check an input-timing map against *network* and canonicalize it:
+    every name must be a non-supply node, every primary input must be
+    timed, and bare floats become both-edge :class:`InputSpec` s.  Cheap
+    enough to run before any expensive set-up, so bad input fails fast."""
+    normalized: Dict[str, InputSpec] = {}
+    for name, spec in inputs.items():
+        node = network.node(name)
+        if node.is_supply:
+            raise TimingError(f"cannot time a supply rail {name!r}")
+        if not isinstance(spec, InputSpec):
+            spec = InputSpec(arrival_rise=float(spec),
+                             arrival_fall=float(spec))
+        normalized[node.name] = spec
+    missing = [n.name for n in network.inputs() if n.name not in normalized]
+    if missing:
+        raise TimingError(
+            "primary inputs without timing: " + ", ".join(sorted(missing))
+        )
+    return normalized
+
+
 class TimingAnalyzer:
     """Configure once, analyze many input scenarios.
 
@@ -284,14 +308,13 @@ class TimingAnalyzer:
     kernel:
         ``"numpy"`` (default) compiles each distinct (stage, path, order)
         tree into a reusable :class:`~repro.rctree.TreeTemplate` and
-        answers delay-model questions through the vectorized RPH kernel —
-        all of a stage's time constants come out of one array pass, and
+        answers delay-model questions through the O(N) RPH kernel — all
+        of a stage's time constants come out of one array pass, and
         repeat candidates are template cache hits instead of dict-tree
         rebuilds.  ``"python"`` keeps the original per-node scalar
         recurrences on dict-based :class:`~repro.rctree.RCTree` objects —
         the differential reference.  Both kernels agree to 1e-9 relative
-        (``tests/test_kernel_differential.py``); if numpy is not
-        importable the analyzer silently falls back to ``"python"``.
+        (``tests/test_kernel_differential.py``).
 
     Caching and invalidation
     ------------------------
@@ -327,8 +350,6 @@ class TimingAnalyzer:
         if kernel not in ("numpy", "python"):
             raise TimingError(
                 f"unknown kernel {kernel!r} (expected 'numpy' or 'python')")
-        if kernel == "numpy" and not kernel_available():
-            kernel = "python"
         self.kernel = kernel
         #: cumulative counters over every ``analyze()`` of this instance
         self.perf = PerfCounters()
@@ -364,9 +385,6 @@ class TimingAnalyzer:
         self._delay_cache: Dict[Tuple, StageDelay] = {}
         # Per-stage reverse index: trigger event -> candidates it affects.
         self._trigger_index: Dict[int, Dict[Event, List[_IndexEntry]]] = {}
-        #: observed delay candidates per stage — the cost model the
-        #: parallel chunker balances level fronts with (repro.parallel)
-        self.stage_costs = StageCostModel()
         # Delta carryover: the last completed run's (normalized inputs,
         # arrivals, ranks).  analyze_delta() re-uses every arrival whose
         # stage lies outside the changed inputs' dirty cone.  The stored
@@ -393,7 +411,6 @@ class TimingAnalyzer:
         self._node_caps.clear()
         self._delay_cache.clear()
         self._trigger_index.clear()
-        self.stage_costs.clear()
         self._carryover = None
         with self.perf.timer("stage_graph_build"):
             self.graph = StageGraph.build(self.network)
@@ -524,7 +541,7 @@ class TimingAnalyzer:
                                     Dict[Event, Tuple[int, int]],
                                     Dict[str, InputSpec]]:
         prev_inputs, prev_arrivals, prev_ranks = self._carryover
-        normalized = self._normalize_inputs(inputs)
+        normalized = normalize_inputs(self.network, inputs)
         changed = sorted(name for name in normalized
                          if prev_inputs.get(name) != normalized[name])
         perf.incr("delta_scenarios")
@@ -616,7 +633,7 @@ class TimingAnalyzer:
                               Dict[str, InputSpec]]:
         arrivals: Dict[Event, Arrival] = {}
         ranks: Dict[Event, Tuple[int, int]] = {}
-        normalized = self._normalize_inputs(inputs)
+        normalized = normalize_inputs(self.network, inputs)
         seeds: List[Tuple[Event, float]] = []
         for name, spec in normalized.items():
             for transition in _TRANSITIONS:
@@ -724,25 +741,6 @@ class TimingAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def _normalize_inputs(self, inputs: Mapping[str, Union[InputSpec, float]]
-                          ) -> Dict[str, InputSpec]:
-        normalized: Dict[str, InputSpec] = {}
-        for name, spec in inputs.items():
-            node = self.network.node(name)
-            if node.is_supply:
-                raise TimingError(f"cannot time a supply rail {name!r}")
-            if not isinstance(spec, InputSpec):
-                spec = InputSpec(arrival_rise=float(spec),
-                                 arrival_fall=float(spec))
-            normalized[node.name] = spec
-        missing = [n.name for n in self.network.inputs()
-                   if n.name not in normalized]
-        if missing:
-            raise TimingError(
-                "primary inputs without timing: " + ", ".join(sorted(missing))
-            )
-        return normalized
-
     # -- static caches --------------------------------------------------
 
     def _rep_for(self, stage: Stage) -> Tuple[Stage, Optional[Dict[str, str]],
@@ -835,23 +833,6 @@ class TimingAnalyzer:
         self._templates[key] = template
         return template
 
-    def export_templates(self) -> Dict[Tuple[int, str, Transition, int],
-                                       TreeTemplate]:
-        """Snapshot of the compiled-template cache.  Template keys are
-        deterministic functions of the network and ``states`` (stage
-        indices from :meth:`StageGraph.build`, path order from
-        :func:`enumerate_paths`), so the snapshot is valid in any other
-        analyzer built from equal inputs — the parallel workers are
-        seeded this way instead of recompiling per process."""
-        return dict(self._templates)
-
-    def seed_templates(self, templates: Mapping[Tuple[int, str, Transition,
-                                                      int], TreeTemplate]
-                       ) -> None:
-        """Adopt pre-compiled templates (see :meth:`export_templates`).
-        Seeded entries count as template hits on first use, not misses."""
-        self._templates.update(templates)
-
     def _trigger_index_for(self, stage: Stage
                            ) -> Dict[Event, List[_IndexEntry]]:
         index = self._trigger_index.get(stage.index)
@@ -905,11 +886,10 @@ class TimingAnalyzer:
     def _best_candidate(self, stage: Stage,
                         group: List[Tuple[int, int, SensitizedPath, Trigger]],
                         arrivals: Mapping[Event, Arrival]
-                        ) -> Tuple[Optional[Arrival], Tuple[int, int], int]:
+                        ) -> Tuple[Optional[Arrival], Tuple[int, int]]:
         """Resolve a target's (order, trigger_pos, path, trigger)
         candidate group and pick the winner under the deterministic
-        tie-break; also returns how many candidates had an upstream
-        arrival (the stage-cost observation).
+        tie-break.
 
         The group's memo misses are gathered and handed to the model in
         one :meth:`DelayModel.evaluate_many` batch — with the numpy kernel
@@ -983,7 +963,7 @@ class TimingAnalyzer:
             best_time = time
             best_rank = (order, pos)
         if best is None:
-            return None, _PRIMARY_RANK, len(plan)
+            return None, _PRIMARY_RANK
         event, upstream, result, path, trigger = best
         return Arrival(
             time=best_time,
@@ -992,7 +972,7 @@ class TimingAnalyzer:
             stage_delay=result,
             path=path,
             trigger=trigger,
-        ), best_rank, len(plan)
+        ), best_rank
 
     # -- event admission ------------------------------------------------
 
@@ -1066,52 +1046,19 @@ class TimingAnalyzer:
         stays within one target's candidate group.
         """
         changed: List[Event] = []
-        considered = 0
         for node in sorted(stage.internal_nodes):
             for transition in _TRANSITIONS:
                 if not self._event_allowed(node, transition):
                     continue
                 paths = self._stage_paths(stage, node, transition)
-                best, best_rank, count = self._best_candidate(
+                best, best_rank = self._best_candidate(
                     stage, self._full_group(paths), arrivals)
-                considered += count
                 if best is None:
                     continue
                 event = Event(node, transition)
                 if self._commit(event, best, best_rank, arrivals, ranks):
                     changed.append(event)
-        self.stage_costs.observe(stage.index, considered)
         return changed
-
-    def stage_candidates(self, stage: Stage,
-                         arrivals: Mapping[Event, Arrival]
-                         ) -> List[Tuple[Event, Arrival, Tuple[int, int]]]:
-        """Best candidate per (internal node, transition), no commit.
-
-        Unlike :meth:`_evaluate_full` this evaluates against a *snapshot*
-        of upstream arrivals and never mutates analyzer or arrival state —
-        the form the parallel level-front executor needs: workers compute
-        candidates against the front's settled inputs and the parent
-        merges them with the same deterministic tie-break the serial
-        engine uses.  On an acyclic stage graph the two evaluation styles
-        commit identical fixpoints (a stage's triggers all live in
-        strictly earlier levels, so the snapshot *is* the final state).
-        """
-        out: List[Tuple[Event, Arrival, Tuple[int, int]]] = []
-        considered = 0
-        with _trace_span("stage_eval", stage=stage.index, mode="front"):
-            for node in sorted(stage.internal_nodes):
-                for transition in _TRANSITIONS:
-                    if not self._event_allowed(node, transition):
-                        continue
-                    paths = self._stage_paths(stage, node, transition)
-                    best, best_rank, count = self._best_candidate(
-                        stage, self._full_group(paths), arrivals)
-                    considered += count
-                    if best is not None:
-                        out.append((Event(node, transition), best, best_rank))
-        self.stage_costs.observe(stage.index, considered)
-        return out
 
     def _evaluate_incremental(self, stage: Stage, events: Set[Event],
                               arrivals: Dict[Event, Arrival],
@@ -1127,21 +1074,17 @@ class TimingAnalyzer:
                 by_target.setdefault(target, []).append(entry)
 
         changed: List[Event] = []
-        considered = 0
         for target in sorted(by_target, key=lambda e: (
                 e.node, _TRANSITION_ORDER[e.transition])):
             entries = sorted(by_target[target],
                              key=lambda e: (e.order, e.trigger_pos))
             group = [(entry.order, entry.trigger_pos, entry.path,
                       entry.trigger) for entry in entries]
-            best, best_rank, count = self._best_candidate(stage, group,
-                                                          arrivals)
-            considered += count
+            best, best_rank = self._best_candidate(stage, group, arrivals)
             if best is None:
                 continue
             if self._commit(target, best, best_rank, arrivals, ranks):
                 changed.append(target)
-        self.stage_costs.observe(stage.index, considered)
         return changed
 
 

@@ -21,8 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .parallel_stats import ParallelPerf
-
 #: Counters the timing engine emits, in display order, with a short gloss.
 STANDARD_COUNTERS: Dict[str, str] = {
     "stage_visits": "worklist pops that evaluated a stage",
@@ -41,8 +39,8 @@ STANDARD_COUNTERS: Dict[str, str] = {
     "tree_template_misses": "tree templates compiled (first visit of a path)",
     "tree_template_hits": "compiled-template reuses by later candidates",
     "tree_template_shared": "templates instantiated from an isomorphic stage",
-    "kernel_batches": "vectorized-kernel evaluate_many() batches",
-    "kernel_nodes": "tree nodes covered by vectorized-kernel batches",
+    "kernel_batches": "template-kernel evaluate_many() batches",
+    "kernel_nodes": "tree nodes covered by template-kernel batches",
     "delta_scenarios": "scenarios analyzed by dirty-cone delta re-analysis",
     "input_delta": "changed primary inputs across delta scenarios (Hamming)",
     "cone_stages": "stages inside delta dirty cones (re-evaluated)",
@@ -65,8 +63,6 @@ class PerfCounters:
 
     counters: Dict[str, int] = field(default_factory=dict)
     timers: Dict[str, float] = field(default_factory=dict)
-    #: stats of the parallel executor, when the run used one
-    parallel: Optional[ParallelPerf] = None
 
     # -- counters -----------------------------------------------------------
 
@@ -102,31 +98,21 @@ class PerfCounters:
             self.incr(name, value)
         for name, value in other.timers.items():
             self.add_time(name, value)
-        if other.parallel is not None:
-            if self.parallel is None:
-                self.parallel = ParallelPerf()
-            self.parallel.merge(other.parallel)
 
     def snapshot(self) -> "PerfCounters":
         return PerfCounters(counters=dict(self.counters),
-                            timers=dict(self.timers),
-                            parallel=self.parallel)
+                            timers=dict(self.timers))
 
     def reset(self) -> None:
         self.counters.clear()
         self.timers.clear()
-        self.parallel = None
 
     # -- export -------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready ``{"counters": {...}, "timers": {...}}``."""
-        payload: Dict[str, object] = {
-            "counters": dict(self.counters),
-            "timers": {k: float(v) for k, v in self.timers.items()}}
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel.as_dict()
-        return payload
+        return {"counters": dict(self.counters),
+                "timers": {k: float(v) for k, v in self.timers.items()}}
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
@@ -166,8 +152,6 @@ class PerfCounters:
         for name in sorted(self.timers):
             lines.append(f"{name:<{width}}  "
                          f"{self.timers[name]:>{vwidth - 1}.6f}s")
-        if self.parallel is not None:
-            lines.extend(self.parallel.format_lines())
         return "\n".join(lines)
 
 
@@ -238,7 +222,7 @@ class BatchPerf:
     @property
     def template_hit_rate(self) -> Optional[float]:
         """Compiled-template reuse fraction across the whole batch, or
-        None when the sweep never touched the vectorized kernel."""
+        None when the sweep never touched the template kernel."""
         total = self.total
         hits = total.get("tree_template_hits")
         misses = total.get("tree_template_misses")

@@ -10,15 +10,10 @@ candidates re-use the template (the analyzer counts
 values into the preallocated arrays (:meth:`restamp`) instead of
 rebuilding the tree.
 
-On top of the arrays, the template memoizes the vectorized PRH kernel's
+On top of the arrays, the template memoizes the O(N) PRH kernel's
 :class:`~repro.rctree.kernel.StageConstants` — Elmore, T_P and T_R for
 *every* node in one pass — so a delay model asking about any measurement
 node of the stage is a constant-time lookup.
-
-Templates are deliberately **picklable** (plain tuples, dicts and numpy
-arrays; cached constants ride along): the parallel workers receive the
-parent's compiled templates through :class:`~repro.parallel.worker.AnalyzerSpec`
-and start warm instead of re-deriving every tree.
 
 This module stays independent of the netlist layer: stamping sources are
 opaque element groups plus caller-supplied ``resistance_of`` /
@@ -33,8 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import AnalysisError
 from ..trace.spans import span as _trace_span
 from .elmore import TimeConstants
-from .kernel import (SMALL_TREE_CUTOFF, StageConstants,
-                     compute_stage_constants, depth_levels, kernel_available)
+from .kernel import StageConstants, compute_stage_constants
 from .tree import RCTree
 
 
@@ -50,15 +44,12 @@ class TreeTemplate:
     source :meth:`restamp` refills the arrays from.  ``cap_mask[i]``
     marks nodes whose capacitance is (re)read from the network.
 
-    ``parent``/``r``/``c`` are stored as plain lists: most compiled
-    stages are small enough that the kernel dispatches to its list-based
-    backend anyway (:data:`~repro.rctree.kernel.SMALL_TREE_CUTOFF`), and
-    the numpy backend converts lazily, so compilation never pays numpy
-    construction overhead it will not use.
+    ``parent``/``r``/``c`` are stored as plain lists, the form the
+    list-based kernel indexes fastest.
     """
 
     __slots__ = ("names", "index", "parent", "r", "c", "cap_mask",
-                 "edge_elements", "transition", "_depth", "_levels",
+                 "edge_elements", "transition", "_depth",
                  "_constants", "_node_constants", "_rctree")
 
     def __init__(self, names: Sequence[str], parent: Sequence[int],
@@ -67,10 +58,6 @@ class TreeTemplate:
                  transition=None,
                  edge_elements: Optional[Tuple[Tuple, ...]] = None,
                  cap_mask: Optional[Sequence[bool]] = None):
-        if not kernel_available():
-            raise AnalysisError(
-                "TreeTemplate needs numpy; use the dict-based RCTree "
-                "(kernel='python') when numpy is unavailable")
         n = len(names)
         if n < 1:
             raise AnalysisError("a tree template needs at least the root")
@@ -101,7 +88,6 @@ class TreeTemplate:
             cap_mask = [False] + [True] * (n - 1)
         self.cap_mask = tuple(bool(b) for b in cap_mask)
         self._depth = None
-        self._levels = None
         self._constants: Optional[StageConstants] = None
         self._node_constants: Dict[str, TimeConstants] = {}
         self._rctree: Optional[RCTree] = None
@@ -140,16 +126,10 @@ class TreeTemplate:
     def constants(self) -> StageConstants:
         """All-node RPH constants, computed once and memoized."""
         if self._constants is None:
-            # The level grouping only serves the numpy backend; small
-            # trees dispatch to the list backend, so don't build it for
-            # them (a forced-numpy kernel computes its own).
             # Traced as a span (once per template: memoized below).
             with _trace_span("kernel_constants", nodes=len(self.parent)):
-                if self._levels is None \
-                        and len(self.parent) >= SMALL_TREE_CUTOFF:
-                    self._levels = depth_levels(self.parent)
                 self._constants = compute_stage_constants(
-                    self.parent, self.r, self.c, self._levels)
+                    self.parent, self.r, self.c)
         return self._constants
 
     def constants_for(self, node: str) -> TimeConstants:
@@ -160,14 +140,13 @@ class TreeTemplate:
             return hit
         i = self.index_of(node)
         k = self.constants()
-        made = TimeConstants(t_p=k.t_p, t_d=float(k.t_d[i]),
-                             t_r=float(k.t_r[i]))
+        made = TimeConstants(t_p=k.t_p, t_d=k.t_d[i], t_r=k.t_r[i])
         self._node_constants[node] = made
         return made
 
     def path_resistance(self, node: str) -> float:
         """``R_ii``: total resistance from the root down to *node*."""
-        return float(self.constants().rpath[self.index_of(node)])
+        return self.constants().rpath[self.index_of(node)]
 
     def total_cap(self) -> float:
         return self.constants().c_total
@@ -225,7 +204,6 @@ class TreeTemplate:
                                  for group in other.edge_elements))
         t.transition = other.transition
         t._depth = other._depth
-        t._levels = other._levels
         t._constants = other.constants()
         t._node_constants = {}
         t._rctree = None
@@ -253,58 +231,15 @@ class TreeTemplate:
             tree = RCTree(self.root)
             for i in range(1, len(self.names)):
                 tree.add_edge(self.names[self.parent[i]], self.names[i],
-                              float(self.r[i]))
-                cap = float(self.c[i])
+                              self.r[i])
+                cap = self.c[i]
                 if cap:
                     tree.add_cap(self.names[i], cap)
-            root_cap = float(self.c[0])
+            root_cap = self.c[0]
             if root_cap:
                 tree.add_cap(self.root, root_cap)
             self._rctree = tree
         return self._rctree
-
-    # -- pickling (slots need explicit state) --------------------------------
-
-    def __getstate__(self):
-        # Cached constants ship with the template (that is the point of
-        # sending compiled templates to workers); the dict-tree, depth
-        # and level groupings are cheap to rebuild, so they stay home.
-        return {
-            "names": self.names,
-            "parent": self.parent,
-            "r": self.r,
-            "c": self.c,
-            "cap_mask": self.cap_mask,
-            "edge_elements": self.edge_elements,
-            "transition": self.transition,
-            "constants": self._constants and (
-                self._constants.t_p,
-                list(self._constants.t_d),
-                list(self._constants.t_r),
-                list(self._constants.rpath),
-                self._constants.c_total,
-            ),
-        }
-
-    def __setstate__(self, state) -> None:
-        self.names = state["names"]
-        self.index = {m: i for i, m in enumerate(self.names)}
-        self.parent = state["parent"]
-        self.r = state["r"]
-        self.c = state["c"]
-        self.cap_mask = state["cap_mask"]
-        self.edge_elements = state["edge_elements"]
-        self.transition = state["transition"]
-        self._depth = None
-        self._levels = None
-        self._node_constants = {}
-        self._rctree = None
-        packed = state["constants"]
-        self._constants = None
-        if packed is not None:
-            t_p, t_d, t_r, rpath, c_total = packed
-            self._constants = StageConstants(t_p=t_p, t_d=t_d, t_r=t_r,
-                                             rpath=rpath, c_total=c_total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TreeTemplate root={self.root!r} nodes={len(self.names)} "

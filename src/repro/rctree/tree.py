@@ -107,7 +107,7 @@ class RCTree:
         Memoized as a prefix sum: the walk up stops at the first cached
         ancestor and fills the cache for every node it crossed, so N
         queries over one tree cost O(N) total instead of O(N * depth) —
-        the scalar reference for the vectorized kernel's ``rpath`` pass.
+        the scalar reference for the O(N) kernel's ``rpath`` pass.
         """
         if node not in self._cap:
             raise AnalysisError(f"unknown node {node!r}")

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..batch.vectors import order_vectors
+from ..core.timing import normalize_inputs
 from ..errors import ReproError, ServiceError
 from ..perf import PerfCounters
 from ..trace import spans as trace_spans
@@ -157,10 +158,7 @@ class TimingService:
             from ..trace.export import write_chrome_trace
 
             trace_spans.uninstall()
-            import os
-
-            count = write_chrome_trace(self._tracer, self.config.trace,
-                                       parent_pid=os.getpid())
+            count = write_chrome_trace(self._tracer, self.config.trace)
             if not self.config.quiet:
                 print(f"trace: {count} event(s) written to "
                       f"{self.config.trace}", flush=True)
@@ -229,7 +227,7 @@ class TimingService:
             for position, job in enumerate(batch):
                 try:
                     for vector in job.request.vectors:
-                        analyzer._normalize_inputs(vector.inputs)
+                        normalize_inputs(analyzer.network, vector.inputs)
                 except ReproError as exc:
                     outcome[position] = ServiceError(str(exc), status=400)
                     continue

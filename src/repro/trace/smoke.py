@@ -1,20 +1,17 @@
-"""Trace smoke gate: a parallel traced sweep must produce a valid,
-cross-process Chrome trace.
+"""Trace smoke gate: a traced sweep must produce a valid Chrome trace
+with the engine's nested span taxonomy.
 
 ``make trace-smoke`` (and CI) runs this module.  It sweeps an 8-bit
-ripple-carry adder across 16 Gray-ordered vectors with ``jobs=2`` under
-an installed tracer, writes the merged trace to
-``benchmarks/output/trace_smoke.json``, and then checks the properties
-the observability subsystem promises (DESIGN.md §7):
+ripple-carry adder across 16 Gray-ordered vectors under an installed
+tracer, writes the trace to ``benchmarks/output/trace_smoke.json``, and
+then checks the properties the observability subsystem promises
+(DESIGN.md §7):
 
 * the file validates against the Chrome ``trace_event`` shape;
-* spans arrived from at least two distinct worker processes in
-  addition to the parent (cross-process collection works end to end);
-* worker spans include the engine's nested taxonomy — ``analyze``
-  roots with ``stage_eval`` and ``kernel_batch`` descendants — not
-  just the chunk envelopes;
-* every (pid, sid) pair is unique after the merge (no double-drained
-  buffers, no fork-inherited parent records).
+* spans nest as the engine's taxonomy says: a ``kernel_batch`` span
+  lies under a ``stage_eval`` span, which lies under an ``analyze``
+  root, all inside the ``sweep`` envelope;
+* every (pid, sid) pair is unique (no double-recorded spans).
 
 Exit status 0 on success; a failed property raises and exits nonzero.
 """
@@ -23,23 +20,34 @@ from __future__ import annotations
 
 import pathlib
 import sys
+from typing import Dict, List
 
 from ..batch import CartesianSweep, run_sweep
 from ..circuits import adder_input_names, ripple_carry_adder
 from ..core.models import characterize_technology
 from ..tech import CMOS3
 from . import export, spans
+from .spans import SpanRecord
 
 OUTPUT_FILE = (pathlib.Path(__file__).resolve().parents[3]
                / "benchmarks" / "output" / "trace_smoke.json")
 
 BITS = 8
-JOBS = 2
-#: Axes toggled by the sweep; 4 binary axes -> 16 vectors, enough work
-#: per chunk that both pool workers reliably pick up at least one.
+#: Axes toggled by the sweep; 4 binary axes -> 16 vectors.
 AXES = ("a1", "b3", "a5", "b7")
 EARLY = 0.0
 LATE = 0.5e-9
+
+
+def _ancestry(record: SpanRecord,
+              by_id: Dict[tuple, SpanRecord]) -> List[str]:
+    """Names of *record*'s enclosing spans, innermost first."""
+    names = []
+    parent = by_id.get((record.pid, record.parent))
+    while parent is not None:
+        names.append(parent.name)
+        parent = by_id.get((parent.pid, parent.parent))
+    return names
 
 
 def run_smoke(output: pathlib.Path = OUTPUT_FILE) -> int:
@@ -51,28 +59,29 @@ def run_smoke(output: pathlib.Path = OUTPUT_FILE) -> int:
 
     tracer = spans.Tracer()
     with spans.activate(tracer):
-        result = run_sweep(network, source, jobs=JOBS, order="gray")
-    records = tracer.drain()
+        result = run_sweep(network, source, order="gray")
+    records = tracer.records
 
     output.parent.mkdir(parents=True, exist_ok=True)
     export.write_chrome_trace(records, str(output))
     export.validate_trace_file(output)
 
-    parent_pid = {r.pid for r in records if r.name == "sweep"}
-    worker_pids = {r.pid for r in records} - parent_pid
-    worker_names = {r.name for r in records if r.pid in worker_pids}
     ids = [(r.pid, r.sid) for r in records]
+    by_id = {(r.pid, r.sid): r for r in records}
+    nested = [_ancestry(r, by_id) for r in records
+              if r.name == "kernel_batch"]
+
+    def nests(chain: List[str]) -> bool:
+        return ("stage_eval" in chain and "analyze" in chain
+                and chain.index("stage_eval") < chain.index("analyze")
+                and chain[-1] == "sweep")
 
     checks = [
         (len(result.outcomes) == 2 ** len(AXES),
          f"sweep covered {len(result.outcomes)} vectors"),
-        (len(parent_pid) == 1, "exactly one parent pid owns the sweep span"),
-        (len(worker_pids) >= 2,
-         f"spans from >=2 worker processes (got {len(worker_pids)})"),
-        ({"vector_chunk", "analyze", "stage_eval"} <= worker_names,
-         "workers shipped nested analyze/stage_eval spans"),
-        ("kernel_batch" in worker_names,
-         "workers shipped kernel_batch spans"),
+        (bool(nested) and all(nests(chain) for chain in nested),
+         f"{len(nested)} kernel_batch span(s), each nested "
+         "sweep > analyze > stage_eval"),
         (len(ids) == len(set(ids)), "all (pid, sid) pairs unique"),
     ]
     failed = [message for ok, message in checks if not ok]
@@ -82,8 +91,7 @@ def run_smoke(output: pathlib.Path = OUTPUT_FILE) -> int:
         print(f"trace smoke: {len(failed)} check(s) failed", file=sys.stderr)
         return 1
 
-    print(f"trace smoke: {len(records)} spans from "
-          f"{len(worker_pids) + 1} processes -> {output}")
+    print(f"trace smoke: {len(records)} spans -> {output}")
     print()
     print(export.format_trace_summary(records))
     return 0

@@ -3,7 +3,7 @@ invariants, and a failing-netlist shrinker.
 
 The package closes the loop on the equivalence contracts the rest of the
 repo asserts piecemeal (incremental == reference, delta == full sweep,
-parallel == serial, numpy ~= python kernel): it *generates* random
+numpy ~= python kernel): it *generates* random
 switch-level netlists, runs each through the whole engine-mode matrix,
 compares every mode against its matched brute-force reference, layers
 model-level metamorphic invariants on top, and delta-debugs any failure

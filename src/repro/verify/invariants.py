@@ -32,7 +32,7 @@ from ..core.models import RCTreeModel
 from ..core.timing import TimingAnalyzer
 from ..netlist import Network
 from ..perf import PerfCounters
-from ..rctree import RCTree, delay_bounds, kernel_available
+from ..rctree import RCTree, delay_bounds, exact_delay
 from ..tech import Transition
 from .diff import Discrepancy
 from .generate import ConformanceCase
@@ -162,15 +162,8 @@ def _random_tree(rng: random.Random, nodes: int) -> RCTree:
 def check_tree_invariants(seed: int, perf: PerfCounters,
                           case_name: str = "tree",
                           trees: int = 2) -> List[Discrepancy]:
-    """RPH bracketing + cap monotonicity on standalone random RC trees.
-
-    Needs the numpy-backed exact eigendecomposition oracle; silently
-    skipped when the vectorized kernel is unavailable.
-    """
-    if not kernel_available():  # pragma: no cover - numpy always in CI
-        return []
-    from ..rctree import exact_delay
-
+    """RPH bracketing + cap monotonicity on standalone random RC trees,
+    against the exact eigendecomposition oracle."""
     rng = random.Random(seed * 69_069 + 12_345)
     findings: List[Discrepancy] = []
     for _ in range(trees):

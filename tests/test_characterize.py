@@ -91,6 +91,21 @@ class TestCharacterizedTechnology:
         other = characterize_technology(CMOS3, ratios=[0.1, 1.0])
         assert other is not cmos_char
 
+    def test_cache_keyed_by_content(self):
+        """Same name, different parameters: a fresh fit.  An equal-content
+        copy (a different object): the cached fit."""
+        import copy
+        import dataclasses
+        grid = [0.1, 1.0]
+        base = characterize_technology(CMOS3, ratios=grid)
+        assert characterize_technology(copy.deepcopy(CMOS3),
+                                       ratios=grid) is base
+        low = characterize_technology(dataclasses.replace(CMOS3, vdd=3.3),
+                                      ratios=grid)
+        assert low is not base
+        assert low.vdd == 3.3
+        assert low.static_resistance != base.static_resistance
+
     def test_nmos_depletion_rise_slope_sensitive(self, nmos_char):
         """The nMOS rising output is release-timed: the node cannot rise
         until the pulldown's slowly falling gate lets go, so the delay

@@ -327,52 +327,47 @@ class TestCharacterizeCommand:
         assert data["source"] == "characterized:cmos3"
 
 
-class TestJobsFlag:
-    """--jobs N must change nothing about the output, only who computes it."""
+class TestBadInputFailsBeforeCharacterization:
+    """Input errors surface before the seconds-long characterization:
+    with it patched to blow up, bad runs must still exit 2 with the
+    input error, and a good run must reach it."""
 
-    def _vec_file(self, tmp_path, text):
-        path = tmp_path / "vecs.txt"
-        path.write_text(text)
-        return str(path)
+    @pytest.fixture(autouse=True)
+    def no_characterization(self, monkeypatch):
+        def refuse(tech, *args, **kwargs):
+            raise AssertionError("characterization started")
+        monkeypatch.setattr("repro.cli.characterize_technology", refuse)
 
-    def test_sweep_jobs_output_is_byte_identical(self, nand_file, tmp_path,
-                                                 capsys):
-        vecs = self._vec_file(
-            tmp_path, "@t0 a=0 b=0\n@t1 a=300p b=0\n@t2 a=0 b=150p\n"
-                      "@t3 a=70p b=70p\n")
-        base = ["sweep", nand_file, "--tech", "cmos3", "--no-characterize",
-                "--vectors", vecs]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == serial
-
-    def test_sweep_jobs_profile_reports_parallel(self, nand_file, tmp_path,
-                                                 capsys):
-        vecs = self._vec_file(tmp_path, "@t0 a=0 b=0\n@t1 a=300p b=0\n")
-        code = main(["sweep", nand_file, "--tech", "cmos3",
-                     "--no-characterize", "--vectors", vecs,
-                     "--jobs", "2", "--profile"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "parallel: scenario" in out
-
-    def test_timing_jobs_output_is_byte_identical(self, nand_file, capsys):
-        base = ["timing", nand_file, "--tech", "cmos3", "--no-characterize",
-                "--input", "a=0", "--input", "b=120p", "--report", "y"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_jobs_must_be_positive(self, nand_file, capsys):
-        code = main(["timing", nand_file, "--tech", "cmos3",
-                     "--no-characterize", "--input", "a=0", "--input",
-                     "b=0", "--jobs", "0"])
+    @pytest.mark.parametrize("extra, message", [
+        (["--input", "a=0", "--input", "b=0", "--input", "zz=1n"],
+         "unknown node 'zz'"),
+        (["--input", "a=0"], "primary inputs without timing: b"),
+        (["--input", "a=0", "--input", "b=notatime"], "error:"),
+    ])
+    def test_timing(self, nand_file, capsys, extra, message):
+        code = main(["timing", nand_file, "--tech", "cmos3"] + extra)
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, message", [
+        (["--vectors", "VECS"], "vector 'v0': unknown node 'ghost'"),
+        (["--sweep", "a=0,1n"], "primary inputs without timing: b"),
+        (["--sweep", "zz=0,1n", "--input", "a=0", "--input", "b=0"],
+         "unknown node 'zz'"),
+        (["--vectors", "VECS", "--random", "2"], "exactly one vector source"),
+    ])
+    def test_sweep(self, nand_file, tmp_path, capsys, source, message):
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("a=0 b=0 ghost=1n\n")
+        source = [str(vecs) if arg == "VECS" else arg for arg in source]
+        code = main(["sweep", nand_file, "--tech", "cmos3"] + source)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_good_input_reaches_characterization(self, nand_file):
+        with pytest.raises(AssertionError, match="characterization"):
+            main(["timing", nand_file, "--tech", "cmos3", "--input", "a=0",
+                  "--input", "b=0"])
 
 
 class TestTraceFlags:
@@ -412,26 +407,6 @@ class TestTraceFlags:
               "--input", "a=0", "--input", "b=0", "--trace-summary"])
         capsys.readouterr()
         assert trace_spans.current() is None
-
-    def test_sweep_trace_jobs2_has_worker_spans(self, nand_file, tmp_path,
-                                                capsys):
-        import os
-
-        vecs = tmp_path / "vecs.txt"
-        vecs.write_text("".join(f"a={i * 10}p b=0\n" for i in range(12)))
-        trace = tmp_path / "sweep.json"
-        code = main(["sweep", nand_file, "--tech", "cmos3",
-                     "--no-characterize", "--vectors", str(vecs),
-                     "--jobs", "2", "--trace", str(trace)])
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(trace.read_text())
-        pids = {e["pid"] for e in payload["traceEvents"]}
-        assert os.getpid() in pids
-        assert len(pids - {os.getpid()}) >= 1  # worker span(s) merged
-        names = {e["name"] for e in payload["traceEvents"]}
-        assert "vector_chunk" in names
-        assert "sweep" in names
 
     def test_aborted_run_still_flushes_profile_and_trace(self, nand_file,
                                                          tmp_path, capsys):

@@ -1,19 +1,18 @@
-"""Differential tests for the vectorized PRH kernel and tree templates.
+"""Differential tests for the O(N) PRH kernel and tree templates.
 
 The scalar O(N^2) reference (:func:`repro.rctree.time_constants`) is the
-ground truth; the vectorized kernel's two backends (level-swept numpy,
-O(N) plain Python) must reproduce it to float accuracy on every tree
-shape, and the analyzer's ``kernel="numpy"`` path must produce the same
+ground truth; the O(N) list kernel must reproduce it to float accuracy
+on every tree shape and size, and the analyzer's ``kernel="numpy"``
+(template) path must produce the same
 arrivals as ``kernel="python"`` end to end — including when the
 structural-sharing layer (:mod:`repro.core.timing.stage_iso`)
 instantiates templates for isomorphic stages by name substitution.
 """
 
 import math
-import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import adder_input_names, ripple_carry_adder
@@ -21,19 +20,9 @@ from repro.core.models import characterize_technology
 from repro.core.timing import TimingAnalyzer
 from repro.errors import AnalysisError
 from repro.rctree import RCTree, TimeConstants, TreeTemplate, time_constants
-from repro.rctree.kernel import set_forced_backend
 from repro.tech import CMOS3
 
 RTOL = 1e-9
-
-
-@pytest.fixture
-def forced_backend():
-    """Yield a setter and always restore auto dispatch afterwards."""
-    try:
-        yield set_forced_backend
-    finally:
-        set_forced_backend(None)
 
 
 def assert_constants_close(got: TimeConstants, want: TimeConstants) -> None:
@@ -43,14 +32,12 @@ def assert_constants_close(got: TimeConstants, want: TimeConstants) -> None:
             f"{name}: kernel {a!r} != scalar {b!r}")
 
 
-def check_tree_both_backends(tree: RCTree, backend_setter) -> None:
-    """Template constants == scalar reference, on both kernel backends."""
-    for backend in ("python", "numpy"):
-        backend_setter(backend)
-        template = TreeTemplate.from_rctree(tree)
-        for node in tree.nodes:
-            assert_constants_close(template.constants_for(node),
-                                   time_constants(tree, node))
+def check_tree(tree: RCTree) -> None:
+    """Template (O(N) kernel) constants == the O(N^2) scalar reference."""
+    template = TreeTemplate.from_rctree(tree)
+    for node in tree.nodes:
+        assert_constants_close(template.constants_for(node),
+                               time_constants(tree, node))
 
 
 def random_tree(draw_edges) -> RCTree:
@@ -65,72 +52,54 @@ def random_tree(draw_edges) -> RCTree:
     return tree
 
 
-edge_strategy = st.lists(
-    st.tuples(st.integers(0, 1000),
-              st.floats(min_value=10.0, max_value=1e5),
-              st.floats(min_value=1e-15, max_value=1e-11)),
-    min_size=1, max_size=60)
+def edges(min_size: int, max_size: int):
+    return st.lists(
+        st.tuples(st.integers(0, 1000),
+                  st.floats(min_value=10.0, max_value=1e5),
+                  st.floats(min_value=1e-15, max_value=1e-11)),
+        min_size=min_size, max_size=max_size)
 
 
 class TestKernelVsScalar:
-    # The fixture only restores auto dispatch on exit; the checker
-    # itself sets the backend fresh for every example, so reuse across
-    # generated inputs is intended.
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edges=edge_strategy)
-    def test_random_trees(self, forced_backend, edges):
-        check_tree_both_backends(random_tree(edges), forced_backend)
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edges(1, 60))
+    def test_random_trees(self, edges):
+        check_tree(random_tree(edges))
 
-    def test_single_node(self, forced_backend):
+    @settings(max_examples=15, deadline=None)
+    @given(edges=edges(48, 96))
+    def test_random_large_trees(self, edges):
+        # Far beyond any shipped stage tree (a handful of nodes).
+        check_tree(random_tree(edges))
+
+    def test_single_node(self):
         tree = RCTree("out")
         tree.add_cap("out", 3e-12)
-        for backend in ("python", "numpy"):
-            forced_backend(backend)
-            template = TreeTemplate.from_rctree(tree)
-            k = template.constants_for("out")
-            assert k.t_d == 0.0 and k.t_r == 0.0 and k.t_p == 0.0
-            assert template.total_cap() == pytest.approx(3e-12)
+        template = TreeTemplate.from_rctree(tree)
+        k = template.constants_for("out")
+        assert k.t_d == 0.0 and k.t_r == 0.0 and k.t_p == 0.0
+        assert template.total_cap() == pytest.approx(3e-12)
 
-    def test_deep_chain(self, forced_backend):
-        # Deeper than SMALL_TREE_CUTOFF so auto dispatch would go numpy;
-        # force both anyway.
-        tree = RCTree.chain([1e3] * 96, [1e-13] * 96)
-        check_tree_both_backends(tree, forced_backend)
+    def test_deep_chain(self):
+        check_tree(RCTree.chain([1e3] * 96, [1e-13] * 96))
 
-    def test_star(self, forced_backend):
+    def test_star(self):
         tree = RCTree("hub")
         for i in range(96):
             tree.add_edge("hub", f"leaf{i}", 500.0 + i)
             tree.add_cap(f"leaf{i}", 1e-13 * (i + 1))
-        check_tree_both_backends(tree, forced_backend)
+        check_tree(tree)
 
-    def test_backends_agree_exactly_shaped(self, forced_backend):
-        """Path resistance must match the scalar tree on both backends."""
+    def test_path_resistance_matches_tree(self):
         tree = random_tree([(0, 100.0, 1e-12), (1, 200.0, 2e-12),
                             (1, 300.0, 1e-12), (0, 400.0, 5e-13)])
-        for backend in ("python", "numpy"):
-            forced_backend(backend)
-            template = TreeTemplate.from_rctree(tree)
-            for node in tree.non_root_nodes:
-                assert template.path_resistance(node) == pytest.approx(
-                    tree.path_resistance(node), rel=RTOL)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_forced_backend("fortran")
-
-
-class TestTemplatePickling:
-    def test_roundtrip_preserves_constants(self):
-        tree = RCTree.chain([1e3, 2e3, 3e3], [1e-12, 2e-12, 3e-12])
         template = TreeTemplate.from_rctree(tree)
-        want = template.constants_for(tree.leaf())  # populate the memo
-        clone = pickle.loads(pickle.dumps(template))
-        assert clone.names == template.names
-        assert clone.parent == template.parent
-        assert_constants_close(clone.constants_for(tree.leaf()), want)
+        for node in tree.non_root_nodes:
+            assert template.path_resistance(node) == pytest.approx(
+                tree.path_resistance(node), rel=RTOL)
 
+
+class TestTemplateTranslation:
     def test_translated_shares_bitwise_constants(self):
         tree = RCTree.chain([1e3, 2e3], [1e-12, 2e-12])
         template = TreeTemplate.from_rctree(tree)
@@ -192,9 +161,9 @@ class TestAnalyzerDifferential:
         network, inputs = rca8
         analyzer = TimingAnalyzer(network, kernel="numpy")
         analyzer.analyze(inputs)
-        assert analyzer.export_templates()
+        assert analyzer._templates
         analyzer.invalidate_caches()
-        assert not analyzer.export_templates()
+        assert not analyzer._templates
         # And a re-run after invalidation still agrees with itself.
         again = analyzer.analyze(inputs)
         assert again.arrivals
@@ -203,7 +172,7 @@ class TestAnalyzerDifferential:
 class TestTimeConstantsSlack:
     def test_accepts_rounding_at_td_scale(self):
         # T_R a hair above T_D (within 1e-9 relative) must not raise:
-        # the vectorized kernel's reassociated sums can land there.
+        # the O(N) kernel's reassociated sums can land there.
         t_d = 1e-6
         TimeConstants(t_p=2e-6, t_d=t_d, t_r=t_d * (1 + 1e-10))
 
